@@ -18,14 +18,14 @@ object Baselines {
       seedLabels: DataFrame,
       k: Int,
       iterations: Int = 20): DataFrame = {
-    val x = GraphOps.materialize(GraphOps.oneHot(seedLabels))
+    val x = GraphOps.materializeLabeled(seedLabels, k)(GraphOps.oneHot(_, k))
     val seedNodes = GraphOps.materialize(seedLabels.select("node"))
     var f = x
     for (_ <- 1 to iterations) {
       val avgd = GraphOps
-        .multiply(g.edges, f)
+        .multiply(g.edges, f, k)
         .join(g.degrees.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-        .select(col("node"), col("cls"), (col("v") / col("deg")).as("v"))
+        .select(col("node"), GraphOps.vector(k)(i => col("v")(i) / col("deg")).as("v"))
       val clamped = avgd
         .join(seedNodes.withColumnRenamed("node", "__s"), col("node") === col("__s"), "left_anti")
         .unionByName(x)
@@ -45,18 +45,17 @@ object Baselines {
       alpha: Double = 0.85,
       iterations: Int = 20): DataFrame = {
     val perClass = seedLabels.groupBy("cls").agg(count(lit(1)).as("__cnt"))
-    val u = GraphOps.materialize(
-      seedLabels
-        .join(perClass, Seq("cls"))
-        .select(col("node"), col("cls"), (lit(1.0) / col("__cnt")).as("v")))
+    val u = GraphOps.materializeLabeled(seedLabels, k)(
+      _.join(perClass, Seq("cls"))
+        .select(col("node"), GraphOps.indicator(k, col("cls"), lit(1.0) / col("__cnt")).as("v")))
     var f = u
     for (_ <- 1 to iterations) {
-      // W^col·F: scale each sender's row by 1/deg before the hop.
+      // W^col·F: scale each sender's row by α/deg before the hop.
       val scaled = f
         .join(g.degrees.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-        .select(col("node"), col("cls"), (col("v") / col("deg")).as("v"))
-      val walked = GraphOps.scale(GraphOps.multiply(g.edges, scaled), alpha)
-      f = GraphOps.materialize(GraphOps.plus(GraphOps.scale(u, 1.0 - alpha), walked))
+        .select(col("node"), GraphOps.vector(k)(i => col("v")(i) * alpha / col("deg")).as("v"))
+      f = GraphOps.materialize(
+        GraphOps.plus(k)(GraphOps.scale(u, 1.0 - alpha), GraphOps.messages(g.edges, scaled)))
     }
     f
   }

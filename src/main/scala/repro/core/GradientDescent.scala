@@ -72,11 +72,10 @@ object GradientDescent {
       var bt = 0
       var accepted = false
       var xNew = x
-      var fNew = fx
       while (!accepted && bt < maxBacktracks) {
         val cand = Array.tabulate(d)(i => x(i) + t * dir(i))
         val fc = fg(cand)._1
-        if (fc <= fx + armijoC * t * slope) { accepted = true; xNew = cand; fNew = fc }
+        if (fc <= fx + armijoC * t * slope) { accepted = true; xNew = cand }
         else { t /= 2.0; bt += 1 }
       }
       if (!accepted) return Result(x, fx, gNorm, it, converged = true) // numerically stationary
@@ -108,7 +107,6 @@ object GradientDescent {
       }
       x = xNew; fx = fx2; gx = gx2
       it += 1
-      fNew // (line-search value; superseded by the fresh evaluation above)
     }
     val gNorm = norm(gx)
     Result(x, fx, gNorm, it, converged = gNorm <= gradTol)

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.linalg.Dense
 
@@ -25,12 +25,16 @@ final case class SparseGraph(n: Long, edges: DataFrame) {
   }
 }
 
-/** Distributed sparse linear algebra over the (node, cls, v) "long" layout.
+/** Distributed sparse linear algebra over the wide n×k layout.
   *
   * An n×k matrix (beliefs F, label matrix X, path-count sketches N) is a
-  * DataFrame with columns (node: Long, cls: Int, v: Double); absent rows
-  * are zeros. All operators are plain relational joins/aggregations, so
-  * Catalyst plans them and the DuckDB oracle can check them as SQL.
+  * DataFrame with one row per node, columns (node: Long, v: array<double>)
+  * where `v` holds the node's k-vector; absent nodes are zero rows. The
+  * node's k-vector is the unit of work, as in the paper's O(m·k·ℓ) cost
+  * model: W·F is one edge join plus one `groupBy(node)` that sums arrays
+  * elementwise, and F·H or a scaling is a row-local map with no shuffle.
+  * Everything is plain Catalyst expressions (no UDFs), so the DuckDB
+  * oracle can check results once they are exploded to (node, cls, v).
   */
 object GraphOps {
 
@@ -39,100 +43,106 @@ object GraphOps {
     */
   def materialize(df: DataFrame): DataFrame = df.localCheckpoint(true)
 
-  /** W·F — one hop of message passing: every node sums its neighbors'
-    * class-vectors. `edges ⋈ F on dst` → `groupBy (src, cls) sum(v)`.
+  /** A k-entry array column built entry by entry. */
+  def vector(k: Int)(entry: Int => Column): Column = array((0 until k).map(entry): _*)
+
+  /** Aggregate: the elementwise sum of the k-vectors in `v` over a group. */
+  def sumRows(k: Int, v: Column = col("v")): Column = vector(k)(i => sum(v(i)))
+
+  /** The terms of W·F before they are summed: every edge sends its dst's
+    * row, all columns but `node`, to its src, as a row with node = src.
     */
-  def multiply(edges: DataFrame, f: DataFrame): DataFrame =
+  def messages(edges: DataFrame, f: DataFrame): DataFrame =
     edges
       .join(f.withColumnRenamed("node", "__n"), col("dst") === col("__n"))
-      .groupBy(col("src").as("node"), col("cls"))
-      .agg(sum("v").as("v"))
+      .drop("dst", "__n")
+      .withColumnRenamed("src", "node")
 
-  /** F·H — modulate each node's class-vector by the k×k matrix H.
-    * H is tiny, so its rows ship as a literal lookup (no join, no shuffle
-    * beyond the final re-aggregation).
+  /** Elementwise sum of n×k matrices (or of message rows), in one
+    * `groupBy(node)` aggregate however many parts there are.
     */
-  def applyH(f: DataFrame, h: Dense): DataFrame = {
-    val rows: Array[Seq[Double]] =
-      Array.tabulate(h.rows)(i => (0 until h.cols).map(j => h(i, j)))
-    val rowOf = udf((c: Int) => rows(c))
-    f.select(col("node"), col("v"), posexplode(rowOf(col("cls"))).as(Seq("ocls", "hv")))
-      .groupBy(col("node"), col("ocls").as("cls"))
-      .agg(sum(col("v") * col("hv")).as("v"))
-  }
+  def plus(k: Int)(parts: DataFrame*): DataFrame =
+    parts.reduce(_ unionByName _).groupBy("node").agg(sumRows(k).as("v"))
 
-  /** Elementwise sum of two long-format matrices. */
-  def plus(a: DataFrame, b: DataFrame): DataFrame =
-    a.unionByName(b).groupBy("node", "cls").agg(sum("v").as("v"))
+  /** W·F — one hop of message passing: every node sums its neighbors' rows. */
+  def multiply(edges: DataFrame, f: DataFrame, k: Int): DataFrame =
+    plus(k)(messages(edges, f))
 
-  /** Elementwise difference a − b. */
-  def minus(a: DataFrame, b: DataFrame): DataFrame =
-    plus(a, scale(b, -1.0))
+  /** F·H — each node's row times the small matrix H, row-locally; H ships
+    * inside the expression, so there is no join and no shuffle.
+    */
+  def applyH(f: DataFrame, h: Dense): DataFrame =
+    f.withColumn("v", vector(h.cols)(c => (0 until h.rows).map(j => col("v")(j) * h(j, c)).reduce(_ + _)))
 
   /** Scalar multiple. */
   def scale(f: DataFrame, s: Double): DataFrame =
-    f.withColumn("v", col("v") * s)
+    f.withColumn("v", transform(col("v"), _ * s))
 
-  /** (D − c·I)·F — scale each node's row by (degree − c). */
-  def diagScale(f: DataFrame, degrees: DataFrame, c: Double): DataFrame =
-    f.join(degrees.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-      .select(col("node"), col("cls"), (col("v") * (col("deg") - lit(c))).as("v"))
-
-  /** One-hot n×k long-format matrix from (node, cls) labels. */
-  def oneHot(labels: DataFrame): DataFrame =
-    labels.select(col("node"), col("cls"), lit(1.0).as("v"))
+  /** One-hot n×k matrix from (node, cls) labels; unlabeled nodes are absent. */
+  def oneHot(labels: DataFrame, k: Int): DataFrame =
+    labels.select(col("node"), indicator(k, col("cls")).as("v"))
 
   /** Centered label matrix X̃: a node labeled c gets the residual row
     * e_c − 1/k (Section 3.1); unlabeled nodes stay absent (all-zero).
     */
-  def centeredOneHot(labels: DataFrame, k: Int): DataFrame = {
-    val resid = udf((c: Int) => (0 until k).map(j => if (j == c) 1.0 - 1.0 / k else -1.0 / k))
-    labels.select(col("node"), posexplode(resid(col("cls"))).as(Seq("ocls", "rv")))
-      .select(col("node"), col("ocls").as("cls"), col("rv").as("v"))
-  }
+  def centeredOneHot(labels: DataFrame, k: Int): DataFrame =
+    labels.select(col("node"), indicator(k, col("cls"), lit(1.0 - 1.0 / k), lit(-1.0 / k)).as("v"))
 
-  /** Xᵀ·N — collapse an n×k long matrix against labels into a k×k driver
-    * matrix: M_cd = Σ_{i labeled c} N_id.
+  /** The k-vector with `hit` at class `cls` and `miss` elsewhere. */
+  def indicator(k: Int, cls: Column, hit: Column = lit(1.0), miss: Column = lit(0.0)): Column =
+    vector(k)(j => when(cls === j, hit).otherwise(miss))
+
+  /** Materialize `build(labels)`, and fail fast if a class id in `labels`
+    * lies outside [0, k). The range is read from an `observe` on the job
+    * that materializes, so the check costs no extra pass over the data.
     */
-  def collapse(labels: DataFrame, nMat: DataFrame, k: Int): Dense = {
-    val rows = labels
-      .withColumnRenamed("cls", "lcls")
-      .join(nMat.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-      .groupBy(col("lcls"), col("cls"))
-      .agg(sum("v").as("v"))
-      .collect()
-    val out = Dense.zeros(k, k).data
-    rows.foreach { r =>
-      out(r.getInt(0) * k + r.getInt(1)) = r.getDouble(2)
+  def materializeLabeled(labels: DataFrame, k: Int)(build: DataFrame => DataFrame): DataFrame = {
+    val range = Observation()
+    val out = materialize(build(labels.observe(range, min("cls").as("lo"), max("cls").as("hi"))))
+    val seen = range.get
+    Seq(seen("lo"), seen("hi")).foreach {
+      case c: Number if c.longValue < 0 || c.longValue >= k =>
+        throw new IllegalArgumentException(s"seed label class id $c is outside [0, $k) for k = $k")
+      case _ => // in range, or no labels at all
     }
-    new Dense(k, k, out)
+    out
   }
 
   /** argmax over classes: (node, cls) with the highest belief; ties break
-    * toward the smallest class id so results are deterministic.
+    * toward the smallest class id, and an all-zero row maps to class 0.
     */
   def argmaxLabels(f: DataFrame): DataFrame =
-    f.groupBy("node")
-      .agg(max(struct(col("v"), (-col("cls")).as("negc"))).as("top"))
-      .select(col("node"), (-col("top.negc")).cast("int").as("cls"))
+    f.select(col("node"), (array_position(col("v"), array_max(col("v"))) - 1).cast("int").as("cls"))
 
-  /** Spectral radius ρ(W) by distributed power iteration (symmetric W). */
+  /** Spectral radius ρ(W) by distributed power iteration (symmetric W).
+    *
+    * The iterate starts at W·1, the degree vector. Each further iteration
+    * is one edge join and one aggregate that computes w = W·v/‖v‖, with
+    * the scale 1/‖v‖ folded into the sum; ‖w‖, the estimate of ρ, comes
+    * from an `observe` on the checkpoint that materializes w. Iteration
+    * stops once the estimate moves by less than 1e-6 relative, or after
+    * `iters` products with W in all, counting W·1.
+    */
   def spectralRadius(g: SparseGraph, iters: Int = 25): Double = {
-    var v = g.edges.select(col("src").as("node")).distinct
-      .withColumn("v", lit(1.0))
-    var lambda = 0.0
-    for (_ <- 1 to iters) {
-      val w = g.edges
-        .join(v.withColumnRenamed("node", "__n"), col("dst") === col("__n"))
-        .groupBy(col("src").as("node"))
-        .agg(sum("v").as("v"))
-      val wm = materialize(w)
-      val norm = math.sqrt(wm.agg(sum(col("v") * col("v"))).first().getDouble(0))
-      if (norm == 0.0) return 0.0
-      lambda = norm
-      v = materialize(wm.withColumn("v", col("v") / norm))
+    val start = g.degrees.agg(sum(col("deg") * col("deg")), count(lit(1))).first()
+    if (start.isNullAt(0)) return 0.0 // no edges
+    var norm = math.sqrt(start.getDouble(0))
+    var rho = norm / math.sqrt(start.getLong(1).toDouble)
+    var v = g.degrees.select(col("node"), col("deg").as("v"))
+    var it = 1
+    var moved = true
+    while (moved && it < iters) {
+      val sq = Observation()
+      v = materialize(
+        messages(g.edges, v)
+          .groupBy("node").agg((sum("v") / norm).as("v"))
+          .observe(sq, sum(col("v") * col("v")).as("sq")))
+      norm = math.sqrt(sq.get("sq").asInstanceOf[Double])
+      moved = math.abs(norm - rho) > 1e-6 * norm
+      rho = norm
+      it += 1
     }
-    lambda
+    rho
   }
 
   /** Explicit ℓ-th adjacency power as a (src, dst, cnt) path-count table.
@@ -153,17 +163,6 @@ object GraphOps {
           .agg(sum("cnt").as("cnt")))
     }
     p
-  }
-
-  /** Collect a long-format n×k matrix into a dense driver matrix — tests
-    * and small-n reference checks only.
-    */
-  def collectDense(f: DataFrame, n: Int, k: Int): Dense = {
-    val out = Dense.zeros(n, k).data
-    f.collect().foreach { r =>
-      out(r.getLong(0).toInt * k + r.getInt(1)) = r.getDouble(2)
-    }
-    new Dense(n, k, out)
   }
 
   /** Build a SparseGraph from an undirected edge list (one direction),

@@ -15,8 +15,11 @@ import repro.linalg.Dense
   */
 object LinBP {
 
-  /** Run LinBP and return the final belief matrix F in (node, cls, v)
-    * long format.
+  /** Run LinBP and return the final belief matrix F, one (node, v) row
+    * per node with v the node's k beliefs.
+    *
+    * Each iteration applies H row-locally before the hop, so
+    * F ← X + W·(F·H) is one edge join and one aggregate that also sums X.
     *
     * @param g          the graph (symmetric adjacency)
     * @param seedLabels (node, cls) seed labels
@@ -27,6 +30,7 @@ object LinBP {
     *                   graph repeatedly (Holdout does), else it is
     *                   computed by distributed power iteration
     * @param center     propagate residuals (default) or raw frequencies
+    * @throws IllegalArgumentException if a seed class id is outside [0, k)
     */
   def run(
       g: SparseGraph,
@@ -39,16 +43,15 @@ object LinBP {
     val k = h.rows
     val hTilde = CompatibilityMatrix.centered(h)
     val rhoH = hTilde.spectralRadius()
-    val x = GraphOps.materialize(
-      if (center) GraphOps.centeredOneHot(seedLabels, k) else GraphOps.oneHot(seedLabels))
+    val x = GraphOps.materializeLabeled(seedLabels, k)(l =>
+      if (center) GraphOps.centeredOneHot(l, k) else GraphOps.oneHot(l, k))
     if (rhoH < 1e-12) return x // uniform H carries no signal: F = X
     val rho = rhoW.getOrElse(GraphOps.spectralRadius(g))
     val eps = s / (rho * rhoH)
     val hEff = (if (center) hTilde else h).scale(eps)
     var f = x
     for (_ <- 1 to iterations) {
-      f = GraphOps.materialize(
-        GraphOps.plus(x, GraphOps.applyH(GraphOps.multiply(g.edges, f), hEff)))
+      f = GraphOps.materialize(GraphOps.plus(k)(x, GraphOps.messages(g.edges, GraphOps.applyH(f, hEff))))
     }
     f
   }
@@ -57,9 +60,9 @@ object LinBP {
     * effective (already ε-scaled) H. Zero at the fixed point.
     */
   def energy(g: SparseGraph, x: DataFrame, f: DataFrame, hEff: Dense): Double = {
-    val wfh = GraphOps.applyH(GraphOps.multiply(g.edges, f), hEff)
-    val resid = GraphOps.minus(f, GraphOps.plus(x, wfh))
-    val r = resid.agg(sum(col("v") * col("v"))).first()
+    val resid = GraphOps.plus(hEff.cols)(
+      f, GraphOps.scale(x, -1.0), GraphOps.messages(g.edges, GraphOps.applyH(f, hEff.scale(-1.0))))
+    val r = resid.agg(sum(aggregate(col("v"), lit(0.0), (acc, e) => acc + e * e))).first()
     if (r.isNullAt(0)) 0.0 else r.getDouble(0)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame, Observation}
+import org.apache.spark.sql.functions._
 import repro.linalg.Dense
 
 /** The factorized graph representations ("sketches") of §4.3–4.6.
@@ -60,38 +61,64 @@ object Sketch {
     * Both the full-path and the non-backtracking families are produced
     * (the full-path family feeds the biased estimator P̂⁽ℓ⁾ used as the
     * comparison arm of Thm. 4.1, and ℓ ≤ 2 of it feeds LCE).
+    *
+    * One row per node carries its label `lbl`, its degree `deg`, and the
+    * wide rows `full` = N⁽ℓ⁾, `nb` = N_NB⁽ℓ⁾ and `nbPrev` = N_NB⁽ℓ⁻¹⁾. A
+    * hop unions the messages over `edges` with one self row per node that
+    * holds −(deg−c)·N_NB⁽ℓ⁻²⁾, sums both families in one `groupBy(node)`,
+    * and checkpoints; Xᵀ·N⁽ℓ⁾ and Xᵀ·N_NB⁽ℓ⁾ are read from an `observe` on
+    * that same checkpoint.
+    *
+    * @throws IllegalArgumentException if a seed class id is outside [0, k)
     */
   def compute(g: SparseGraph, seedLabels: DataFrame, k: Int, lmax: Int): Sketches = {
     require(lmax >= 1, "lmax must be >= 1")
-    val x = GraphOps.materialize(GraphOps.oneHot(seedLabels))
-    val nLabeled = x.select("node").distinct().count()
+    import GraphOps.{indicator, sumRows, vector}
+    val zeros = vector(k)(_ => lit(0.0))
+
+    // ℓ = 0: N⁽⁰⁾ = N_NB⁽⁰⁾ = X and N_NB⁽⁻¹⁾ = 0, on every node with an
+    // edge or a label, so each later hop keeps the same node set.
+    val labeled = Observation()
+    var state = GraphOps.materializeLabeled(seedLabels, k) { l =>
+      val x = l.select(col("node"), col("cls").as("lbl"), indicator(k, col("cls")).as("v"))
+      x.unionByName(g.degrees.withColumn("v", zeros), allowMissingColumns = true)
+        .groupBy("node")
+        .agg(max("lbl").as("lbl"), coalesce(max("deg"), lit(0.0)).as("deg"), sumRows(k).as("v"))
+        .select(col("node"), col("lbl"), col("deg"), col("v").as("full"), col("v").as("nb"), zeros.as("nbPrev"))
+        .observe(labeled, count(col("lbl")).as("n"))
+    }
+    val nLabeled = labeled.get("n").asInstanceOf[Long]
 
     val mFull = Vector.newBuilder[Dense]
     val mNB = Vector.newBuilder[Dense]
-
-    // ℓ = 1: W_NB⁽¹⁾ = W, so both families share N⁽¹⁾ = W·X.
-    val n1 = GraphOps.materialize(GraphOps.multiply(g.edges, x))
-    mFull += GraphOps.collapse(x.select("node", "cls"), n1, k)
-    mNB += GraphOps.collapse(x.select("node", "cls"), n1, k)
-
-    var fullPrev = n1 // N⁽ℓ⁻¹⁾ for full paths
-    var nbPrev2 = x   // N_NB⁽ℓ⁻²⁾
-    var nbPrev1 = n1  // N_NB⁽ℓ⁻¹⁾
-    for (l <- 2 to lmax) {
-      val fullCur = GraphOps.materialize(GraphOps.multiply(g.edges, fullPrev))
-      mFull += GraphOps.collapse(x.select("node", "cls"), fullCur, k)
-      fullPrev = fullCur
-
-      // ℓ = 2 subtracts D·X; ℓ ≥ 3 subtracts (D−I)·N_NB⁽ℓ⁻²⁾ (Prop. 4.3).
+    for (l <- 1 to lmax) {
+      // ℓ = 2 subtracts D·X; ℓ ≥ 3 subtracts (D−I)·N_NB⁽ℓ⁻²⁾ (Prop. 4.3);
+      // at ℓ = 1 N_NB⁽⁻¹⁾ = 0, so both families are W·X.
       val c = if (l == 2) 0.0 else 1.0
-      val nbCur = GraphOps.materialize(
-        GraphOps.minus(
-          GraphOps.multiply(g.edges, nbPrev1),
-          GraphOps.diagScale(nbPrev2, g.degrees, c)))
-      mNB += GraphOps.collapse(x.select("node", "cls"), nbCur, k)
-      nbPrev2 = nbPrev1
-      nbPrev1 = nbCur
+      val sent = GraphOps.messages(g.edges, state.select("node", "full", "nb"))
+      val self = state.select(col("node"), col("lbl"), col("deg"), zeros.as("full"),
+        vector(k)(i => col("nbPrev")(i) * (lit(c) - col("deg"))).as("nb"), col("nb").as("carry"))
+      val m = Observation()
+      val counts = collapsed("full", k) ++ collapsed("nb", k)
+      state = GraphOps.materialize(
+        sent.unionByName(self, allowMissingColumns = true)
+          .groupBy("node")
+          .agg(max("lbl").as("lbl"), max("deg").as("deg"),
+            sumRows(k, col("full")).as("full"), sumRows(k, col("nb")).as("nb"), sumRows(k, col("carry")).as("nbPrev"))
+          .observe(m, counts.head, counts.tail: _*))
+      val got = m.get
+      def matrix(family: String) = new Dense(k, k, Array.tabulate(k * k)(i =>
+        Option(got(s"${family}_${i / k}_${i % k}")).fold(0.0)(_.asInstanceOf[Double])))
+      mFull += matrix("full")
+      mNB += matrix("nb")
     }
     Sketches(k, lmax, nLabeled, mFull.result(), mNB.result())
   }
+
+  /** Xᵀ·N as k² aggregates over the state rows: entry (c, d) sums column
+    * `family`'s d-th entry over the nodes labeled c.
+    */
+  private def collapsed(family: String, k: Int): Seq[Column] =
+    for (c <- 0 until k; d <- 0 until k)
+      yield sum(when(col("lbl") === c, col(family)(d))).as(s"${family}_${c}_$d")
 }

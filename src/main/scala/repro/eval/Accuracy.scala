@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{GraphOps, LinBP, SparseGraph}
+import repro.core.{GraphOps, LinBP, Sketch, SparseGraph}
 import repro.linalg.Dense
 
 /** End-to-end quality assessment (§5, "Quality assessment").
@@ -32,11 +32,8 @@ object Accuracy {
     * on the *fully labeled* graph — the row-normalized M⁽¹⁾ = XᵀWX at
     * f = 1 (§5.3). This is what the paper calls GS for real data.
     */
-  def measuredGS(g: SparseGraph, labels: DataFrame, k: Int): Dense = {
-    val x = GraphOps.oneHot(labels)
-    val n1 = GraphOps.multiply(g.edges, x)
-    GraphOps.collapse(labels, n1, k).rowNormalized
-  }
+  def measuredGS(g: SparseGraph, labels: DataFrame, k: Int): Dense =
+    Sketch.compute(g, labels, k, lmax = 1).mFull(0).rowNormalized
 
   /** Accuracy of predictions over labeled truth, excluding seed nodes.
     * Nodes that never received any belief default to class 0, matching

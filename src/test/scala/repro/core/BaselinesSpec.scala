@@ -65,7 +65,7 @@ class BaselinesSpec extends SparkSpec {
     val g = repro.testutil.LocalGraphs.graph(spark, 4, Seq((0, 1), (1, 2), (2, 3)))
     val f = Baselines.multiRankWalk(g, seeds, 2, alpha = 0.0, iterations = 1)
     // With alpha=0 the walk never moves: F = U, each class summing to 1.
-    val sums = f.groupBy("cls").sum("v").as[(Int, Double)].collect().toMap
+    val sums = repro.testutil.LocalGraphs.longFormat(f).groupBy("cls").sum("v").as[(Int, Double)].collect().toMap
     assert(sums.values.forall(s => math.abs(s - 1.0) < 1e-9), s"$sums")
   }
 }

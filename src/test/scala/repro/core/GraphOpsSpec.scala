@@ -48,14 +48,14 @@ class GraphOpsSpec extends SparkSpec {
   test("multiply W·F matches the dense reference") {
     val f = Dense.random(n, 3, seed = 5)
     val got = LocalGraphs.toDense(
-      GraphOps.multiply(g.edges, LocalGraphs.longFormat(spark, f)), n, 3)
+      GraphOps.multiply(g.edges, LocalGraphs.wideFormat(spark, f), 3), n, 3)
     assert(got.approxEquals(w * f, 1e-9))
   }
 
   test("multiply W·X matches the DuckDB oracle") {
-    val x = GraphOps.oneHot(labelsDf)
+    val x = GraphOps.oneHot(labelsDf, 3)
     Oracle.assertEquivalent(
-      GraphOps.multiply(g.edges, x),
+      LocalGraphs.longFormat(GraphOps.multiply(g.edges, x, 3)),
       """SELECT e.src AS node, x.cls AS cls, CAST(COUNT(*) AS DOUBLE) AS v
          FROM edges e JOIN labels x ON e.dst = x.node
          GROUP BY e.src, x.cls""",
@@ -66,7 +66,7 @@ class GraphOpsSpec extends SparkSpec {
     val f = Dense.random(n, 3, seed = 6)
     val h = Dense.random(3, 3, seed = 7)
     val got = LocalGraphs.toDense(
-      GraphOps.applyH(LocalGraphs.longFormat(spark, f), h), n, 3)
+      GraphOps.applyH(LocalGraphs.wideFormat(spark, f), h), n, 3)
     assert(got.approxEquals(f * h, 1e-9))
   }
 
@@ -74,50 +74,36 @@ class GraphOpsSpec extends SparkSpec {
     val f = Dense.random(n, 2, seed = 8)
     val h = Dense.random(2, 4, seed = 9)
     val got = LocalGraphs.toDense(
-      GraphOps.applyH(LocalGraphs.longFormat(spark, f), h), n, 4)
+      GraphOps.applyH(LocalGraphs.wideFormat(spark, f), h), n, 4)
     assert(got.approxEquals(f * h, 1e-9))
   }
 
   test("plus, minus and scale match the dense reference") {
     val a = Dense.random(n, 3, seed = 10)
     val b = Dense.random(n, 3, seed = 11)
-    val da = LocalGraphs.longFormat(spark, a)
-    val db = LocalGraphs.longFormat(spark, b)
-    assert(LocalGraphs.toDense(GraphOps.plus(da, db), n, 3).approxEquals(a + b, 1e-9))
-    assert(LocalGraphs.toDense(GraphOps.minus(da, db), n, 3).approxEquals(a - b, 1e-9))
+    val c = Dense.random(n, 3, seed = 12)
+    val da = LocalGraphs.wideFormat(spark, a)
+    val db = LocalGraphs.wideFormat(spark, b)
+    val dc = LocalGraphs.wideFormat(spark, c)
+    assert(LocalGraphs.toDense(GraphOps.plus(3)(da, db), n, 3).approxEquals(a + b, 1e-9))
+    assert(LocalGraphs.toDense(GraphOps.plus(3)(da, db, dc), n, 3).approxEquals(a + b + c, 1e-9))
+    assert(LocalGraphs.toDense(GraphOps.plus(3)(da, GraphOps.scale(db, -1.0)), n, 3)
+      .approxEquals(a - b, 1e-9))
     assert(LocalGraphs.toDense(GraphOps.scale(da, -2.5), n, 3).approxEquals(a.scale(-2.5), 1e-9))
-  }
-
-  test("diagScale computes (D − c·I)·F") {
-    val f = Dense.random(n, 3, seed = 12)
-    val df = LocalGraphs.longFormat(spark, f)
-    for (c <- Seq(0.0, 1.0)) {
-      val got = LocalGraphs.toDense(GraphOps.diagScale(df, g.degrees, c), n, 3)
-      val expected = (DenseRef.degreeMatrix(w) - Dense.eye(n).scale(c)) * f
-      assert(got.approxEquals(expected, 1e-9), s"c=$c")
-    }
   }
 
   test("oneHot and centeredOneHot match the dense reference") {
     val partial = labelMap.filter(_._1 < 10)
     val ldf = LocalGraphs.labels(spark, partial)
-    assert(LocalGraphs.toDense(GraphOps.oneHot(ldf), n, 3)
+    assert(LocalGraphs.toDense(GraphOps.oneHot(ldf, 3), n, 3)
       .approxEquals(DenseRef.oneHot(n, 3, partial), 1e-12))
     assert(LocalGraphs.toDense(GraphOps.centeredOneHot(ldf, 3), n, 3)
       .approxEquals(DenseRef.centeredOneHot(n, 3, partial), 1e-12))
   }
 
-  test("collapse computes XᵀN against the dense reference") {
-    val nMat = Dense.random(n, 3, seed = 13)
-    val x = DenseRef.oneHot(n, 3, labelMap)
-    val got = GraphOps.collapse(labelsDf, LocalGraphs.longFormat(spark, nMat), 3)
-    assert(got.approxEquals(x.t * nMat, 1e-9))
-  }
-
   test("M⁽¹⁾ = XᵀWX matches the DuckDB oracle") {
     import spark.implicits._
-    val x = GraphOps.oneHot(labelsDf)
-    val m1 = GraphOps.collapse(labelsDf, GraphOps.multiply(g.edges, x), 3)
+    val m1 = Sketch.compute(g, labelsDf, 3, lmax = 1).mFull(0)
     val asDf = (for { c <- 0 until 3; d <- 0 until 3 } yield (c, d, m1(c, d))).toDF("c", "d", "v")
     Oracle.assertEquivalent(
       asDf.where(col("v") =!= 0.0),
@@ -129,21 +115,59 @@ class GraphOpsSpec extends SparkSpec {
       "edges" -> g.edges, "labels" -> labelsDf)
   }
 
-  test("argmaxLabels picks the max belief with ties to the smaller class") {
+  private def argmaxOf(rows: (Long, Seq[Double])*): Map[Long, Int] = {
     import spark.implicits._
-    val f = Seq(
-      (0L, 0, 0.2), (0L, 1, 0.9), (0L, 2, 0.1),  // clear winner: 1
-      (1L, 0, 0.5), (1L, 1, 0.5),                // tie: 0
-      (2L, 2, -0.1), (2L, 0, -0.5)               // negative beliefs: 2
-    ).toDF("node", "cls", "v")
-    val got = GraphOps.argmaxLabels(f).as[(Long, Int)].collect().toMap
-    assert(got == Map(0L -> 1, 1L -> 0, 2L -> 2))
+    GraphOps.argmaxLabels(rows.toDF("node", "v")).as[(Long, Int)].collect().toMap
+  }
+
+  test("argmaxLabels picks the max belief with ties to the smaller class") {
+    val got = argmaxOf(
+      0L -> Seq(0.2, 0.9, 0.1),  // clear winner: 1
+      1L -> Seq(0.5, 0.5, 0.1),  // tie: 0
+      2L -> Seq(0.1, 0.7, 0.7))  // tie: 1
+    assert(got == Map(0L -> 1, 1L -> 0, 2L -> 1))
+  }
+
+  test("argmaxLabels handles negative beliefs") {
+    val got = argmaxOf(
+      0L -> Seq(-0.5, -0.2, -0.1),  // least negative: 2
+      1L -> Seq(-0.1, -0.3, -0.1),  // tie among negatives: 0
+      2L -> Seq(-0.4, 0.0, -0.6))   // zero beats negatives: 1
+    assert(got == Map(0L -> 2, 1L -> 0, 2L -> 1))
+  }
+
+  test("argmaxLabels maps an all-zero row to class 0") {
+    assert(argmaxOf(5L -> Seq(0.0, 0.0, 0.0)) == Map(5L -> 0))
   }
 
   test("distributed spectral radius matches the dense reference") {
     val expected = w.spectralRadius()
     val got = GraphOps.spectralRadius(g, iters = 40)
     assert(math.abs(got - expected) / expected < 0.01, s"got $got expected $expected")
+  }
+
+  private def assertRho(edges: Seq[(Int, Int)], nodes: Int): Unit = {
+    val expected = DenseRef.adjacency(nodes, edges).spectralRadius()
+    val got = GraphOps.spectralRadius(LocalGraphs.graph(spark, nodes, edges))
+    assert(math.abs(got - expected) <= 0.01 * expected, s"got $got expected $expected")
+  }
+
+  test("spectral radius of an even cycle (bipartite, eigenvalues ±ρ)") {
+    assertRho((0 until 8).map(i => (i, (i + 1) % 8)), 8)
+  }
+
+  test("spectral radius of a star") {
+    assertRho((1 to 9).map(i => (0, i)), 10)
+  }
+
+  test("spectral radius of two disconnected components is the larger one's") {
+    val clique = for (i <- 0 until 5; j <- i + 1 until 5) yield (i, j)
+    val path = (5 until 11).map(i => (i, i + 1))
+    assertRho(clique ++ path, 12)
+  }
+
+  test("spectral radius of a graph with no edges is 0") {
+    assert(GraphOps.spectralRadius(LocalGraphs.graph(spark, 4, Seq.empty)) == 0.0)
   }
 
   test("explicitPower matches dense W^ℓ for ℓ = 1..3") {
@@ -157,8 +181,12 @@ class GraphOpsSpec extends SparkSpec {
     }
   }
 
-  test("longFormat/collectDense round-trips") {
+  test("wideFormat/toDense round-trips, longFormat keeps the nonzeros") {
     val f = Dense.random(7, 4, seed = 21)
-    assert(LocalGraphs.toDense(LocalGraphs.longFormat(spark, f), 7, 4).approxEquals(f, 0))
+    val wide = LocalGraphs.wideFormat(spark, f)
+    assert(LocalGraphs.toDense(wide, 7, 4).approxEquals(f, 0))
+    val long = LocalGraphs.longFormat(wide).collect()
+      .map(r => (r.getLong(0).toInt, r.getInt(1)) -> r.getDouble(2)).toMap
+    assert(long == (for (i <- 0 until 7; j <- 0 until 4 if f(i, j) != 0.0) yield (i, j) -> f(i, j)).toMap)
   }
 }

@@ -62,6 +62,12 @@ class LinBPSpec extends SparkSpec {
     assert(DenseRef.argmaxRows(f1).toSeq == DenseRef.argmaxRows(f2).toSeq)
   }
 
+  test("run fails fast on a seed class id outside [0, k), naming the id and k") {
+    val bad = LocalGraphs.labels(spark, labelMap.updated(7, 5))
+    val e = intercept[IllegalArgumentException](LinBP.run(g, bad, h, iterations = 1, rhoW = Some(1.0)))
+    assert(e.getMessage.contains("class id 5") && e.getMessage.contains(s"k = $k"), e.getMessage)
+  }
+
   test("uniform H produces no propagation (F = X̃)") {
     val got = LocalGraphs.toDense(
       LinBP.run(g, labelsDf, CompatibilityMatrix.uniform(k)), n, k)

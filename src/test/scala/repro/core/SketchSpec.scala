@@ -101,6 +101,15 @@ class SketchSpec extends SparkSpec {
     intercept[IllegalArgumentException](Sketch.compute(g, labelsDf, k, lmax = 0))
   }
 
+  test("compute fails fast on a seed class id outside [0, k), naming the id and k") {
+    val bad = LocalGraphs.labels(spark, labelMap.updated(4, k))
+    val e = intercept[IllegalArgumentException](Sketch.compute(g, bad, k, lmax = 2))
+    assert(e.getMessage.contains(s"class id $k") && e.getMessage.contains(s"k = $k"), e.getMessage)
+    val neg = LocalGraphs.labels(spark, labelMap.updated(4, -1))
+    assert(intercept[IllegalArgumentException](Sketch.compute(g, neg, k, lmax = 2))
+      .getMessage.contains("class id -1"))
+  }
+
   test("Thm 4.1 (Example 4.2): P̂_NB⁽²⁾ is nearly unbiased for H², full paths overshoot the diagonal") {
     import repro.graphgen.{DegreeDist, PlantedGraph}
     val h = CompatibilityMatrix.planted(3, 3.0) // H from Example 4.2

@@ -2,7 +2,7 @@ package repro.graphgen
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{CompatibilityMatrix, GraphOps}
+import repro.core.{CompatibilityMatrix, Sketch}
 import repro.eval.Accuracy
 
 class PlantedGraphSpec extends SparkSpec {
@@ -48,8 +48,7 @@ class PlantedGraphSpec extends SparkSpec {
   }
 
   test("block edge budgets follow alpha-weighted H (checked via class-pair counts)") {
-    val m1 = GraphOps.collapse(
-      gen.labels, GraphOps.multiply(gen.graph.edges, GraphOps.oneHot(gen.labels)), 3)
+    val m1 = Sketch.compute(gen.graph, gen.labels, 3, lmax = 1).mFull(0)
     // With balanced alpha, edge-endpoint mass between (c,d) ∝ H_cd.
     val p = m1.rowNormalized
     for (c <- 0 until 3; d <- 0 until 3) {

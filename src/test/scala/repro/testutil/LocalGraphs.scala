@@ -1,6 +1,7 @@
 package repro.testutil
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, SparseGraph}
 import repro.linalg.Dense
 
@@ -20,18 +21,27 @@ object LocalGraphs {
     m.toSeq.map { case (node, cls) => (node.toLong, cls) }.toDF("node", "cls")
   }
 
-  /** Long-format (node, cls, v) DataFrame from a dense n×k matrix,
-    * omitting exact zeros (the long layout's convention).
-    */
-  def longFormat(spark: SparkSession, m: Dense): DataFrame = {
+  /** Wide (node, v) DataFrame from a dense n×k matrix, one row per node. */
+  def wideFormat(spark: SparkSession, m: Dense): DataFrame = {
     import spark.implicits._
-    (for {
-      i <- 0 until m.rows
-      j <- 0 until m.cols
-      if m(i, j) != 0.0
-    } yield (i.toLong, j, m(i, j))).toDF("node", "cls", "v")
+    (0 until m.rows).map(i => (i.toLong, Array.tabulate(m.cols)(m(i, _)))).toDF("node", "v")
   }
 
-  /** Collect a long-format DataFrame back to dense for comparison. */
-  def toDense(df: DataFrame, n: Int, k: Int): Dense = GraphOps.collectDense(df, n, k)
+  /** Explode a wide matrix to long (node, cls, v) rows, omitting exact
+    * zeros, so it can be compared with SQL over the DuckDB oracle.
+    */
+  def longFormat(df: DataFrame): DataFrame =
+    df.select(col("node"), posexplode(col("v")).as(Seq("cls", "v"))).where(col("v") =!= 0.0)
+
+  /** Collect a wide DataFrame back to dense for comparison; absent nodes
+    * are zero rows.
+    */
+  def toDense(df: DataFrame, n: Int, k: Int): Dense = {
+    val out = Dense.zeros(n, k).data
+    df.select("node", "v").collect().foreach { r =>
+      val i = r.getLong(0).toInt
+      r.getSeq[Double](1).zipWithIndex.foreach { case (v, j) => out(i * k + j) = v }
+    }
+    new Dense(n, k, out)
+  }
 }
