@@ -148,7 +148,9 @@ object Estimators {
   /** Holdout baseline (§4.1): Nelder–Mead over the free parameters, where
     * each energy evaluation runs LinBP from Seedᵢ and scores accuracy on
     * Holdoutᵢ for b random 50/50 splits of the available labels:
-    * E(H) = −Σᵢ Acc_{Qᵢ}(H).
+    * E(H) = −Σᵢ Acc_{Qᵢ}(H). ρ(W) is computed once, by
+    * `GraphOps.spectralRadius` (Lanczos), unless `rhoW` passes it in;
+    * every evaluation's LinBP run reuses it.
     */
   def holdout(
       g: SparseGraph,

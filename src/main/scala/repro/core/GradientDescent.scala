@@ -19,7 +19,9 @@ object GradientDescent {
     * @param value     final objective value
     * @param gradNorm  final gradient L2 norm
     * @param iters     iterations used
-    * @param converged true if gradNorm fell below the tolerance
+    * @param converged true if gradNorm fell below the tolerance; false at
+    *                  the iteration cap or when the line search finds no
+    *                  decrease away from a stationary point
     */
   final case class Result(
       x: Array[Double],
@@ -78,7 +80,8 @@ object GradientDescent {
         if (fc <= fx + armijoC * t * slope) { accepted = true; xNew = cand }
         else { t /= 2.0; bt += 1 }
       }
-      if (!accepted) return Result(x, fx, gNorm, it, converged = true) // numerically stationary
+      // No step decreases f: stop here, converged only if the gradient is small.
+      if (!accepted) return Result(x, fx, gNorm, it, converged = gNorm <= gradTol)
 
       val (fx2, gx2) = fg(xNew)
       val s = Array.tabulate(d)(i => xNew(i) - x(i))

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable.ArrayBuffer
 import repro.linalg.Dense
 
 /** An undirected graph held as a DataFrame of directed edge pairs.
@@ -114,35 +115,83 @@ object GraphOps {
   def argmaxLabels(f: DataFrame): DataFrame =
     f.select(col("node"), (array_position(col("v"), array_max(col("v"))) - 1).cast("int").as("cls"))
 
-  /** Spectral radius ρ(W) by distributed power iteration (symmetric W).
+  /** Spectral radius ρ(W) by distributed Lanczos (symmetric W ≥ 0).
     *
-    * The iterate starts at W·1, the degree vector. Each further iteration
-    * is one edge join and one aggregate that computes w = W·v/‖v‖, with
-    * the scale 1/‖v‖ folded into the sum; ‖w‖, the estimate of ρ, comes
-    * from an `observe` on the checkpoint that materializes w. Iteration
-    * stops once the estimate moves by less than 1e-6 relative, or after
-    * `iters` products with W in all, counting W·1.
+    * Lanczos starts at q₁ = 1/√n′ on the n′ nodes that have an edge, so
+    * W·q₁ is the degree vector over √n′: α₁ is the mean degree and β₂ the
+    * standard deviation of the degrees, both from one aggregate over
+    * `degrees`. Each further step is one edge join and one aggregate over
+    * state rows (node, q, w = W·q − β·q_prev): the step builds
+    * q_{j+1} = (w − α_j·q_j)/β_{j+1} row-locally, the edges send it to
+    * their src and every node adds −β_{j+1}·q_j; α = Σ w·q and ‖w‖² come
+    * from an `observe` on the checkpoint, and β² = ‖w‖² − α².
+    *
+    * The estimate is the top eigenvalue of the tridiagonal matrix of the
+    * α and β so far. Since W ≥ 0 is symmetric, it rises monotonically to
+    * ρ(W) (Perron–Frobenius), and this extreme eigenvalue needs no
+    * reorthogonalization. Iteration stops once the estimate moves by less
+    * than 1e-6 relative, at an invariant subspace (β² ≤ 1e-12·‖w‖², where
+    * the estimate is exact; a regular graph stops at once), or after
+    * `iters` products with W in all, counting W·q₁.
     */
   def spectralRadius(g: SparseGraph, iters: Int = 25): Double = {
-    val start = g.degrees.agg(sum(col("deg") * col("deg")), count(lit(1))).first()
-    if (start.isNullAt(0)) return 0.0 // no edges
-    var norm = math.sqrt(start.getDouble(0))
-    var rho = norm / math.sqrt(start.getLong(1).toDouble)
-    var v = g.degrees.select(col("node"), col("deg").as("v"))
-    var it = 1
+    val start = g.degrees.agg(count(lit(1)), sum("deg"), sum(col("deg") * col("deg"))).first()
+    val nodes = start.getLong(0).toDouble
+    if (nodes == 0) return 0.0 // no edges
+    val alphas = ArrayBuffer(start.getDouble(1) / nodes)
+    val betas = ArrayBuffer.empty[Double]
+    var ww = start.getDouble(2) / nodes // ‖W·q₁‖²
+    var state = g.degrees.select(
+      col("node"), lit(1 / math.sqrt(nodes)).as("q"), (col("deg") / math.sqrt(nodes)).as("w"))
+    def beta2 = ww - alphas.last * alphas.last
+    var rho = alphas.head
     var moved = true
-    while (moved && it < iters) {
-      val sq = Observation()
-      v = materialize(
-        messages(g.edges, v)
-          .groupBy("node").agg((sum("v") / norm).as("v"))
-          .observe(sq, sum(col("v") * col("v")).as("sq")))
-      norm = math.sqrt(sq.get("sq").asInstanceOf[Double])
-      moved = math.abs(norm - rho) > 1e-6 * norm
-      rho = norm
-      it += 1
+    while (moved && alphas.size < iters && beta2 > 1e-12 * ww) {
+      val beta = math.sqrt(beta2)
+      betas += beta
+      val next = state.select(
+        col("node"), ((col("w") - col("q") * alphas.last) / beta).as("q"), (col("q") * -beta).as("w"))
+      val seen = Observation()
+      state = materialize(
+        next.unionByName(messages(g.edges, next.select(col("node"), col("q").as("w"))),
+                         allowMissingColumns = true)
+          .groupBy("node").agg(sum("q").as("q"), sum("w").as("w"))
+          .observe(seen, sum(col("w") * col("q")).as("alpha"), sum(col("w") * col("w")).as("ww")))
+      alphas += seen.get("alpha").asInstanceOf[Double]
+      ww = seen.get("ww").asInstanceOf[Double]
+      val theta = topEigenvalue(alphas.toSeq, betas.toSeq)
+      moved = math.abs(theta - rho) > 1e-6 * theta
+      rho = theta
     }
     rho
+  }
+
+  /** The largest eigenvalue of the symmetric tridiagonal matrix with
+    * diagonal `a` and off-diagonal `b` (b.size = a.size − 1), by bisection
+    * on the Sturm count. It lies between the largest diagonal entry and
+    * the largest Gershgorin row bound.
+    */
+  private[core] def topEigenvalue(a: Seq[Double], b: Seq[Double]): Double = {
+    def off(i: Int): Double = if (i >= 0 && i < b.size) math.abs(b(i)) else 0.0
+    // How many eigenvalues lie below x: the negative pivots of LDLᵀ of T − x·I.
+    def below(x: Double): Int = {
+      var d = 1.0
+      var count = 0
+      for (i <- a.indices) {
+        d = a(i) - x - (if (i == 0) 0.0 else off(i - 1) * off(i - 1) / d)
+        if (d == 0.0) d = -Double.MinPositiveValue
+        if (d < 0) count += 1
+      }
+      count
+    }
+    var lo = a.max
+    var hi = a.indices.map(i => a(i) + off(i - 1) + off(i)).max
+    var mid = (lo + hi) / 2
+    while (lo < mid && mid < hi) {
+      if (below(mid) == a.size) hi = mid else lo = mid
+      mid = (lo + hi) / 2
+    }
+    hi
   }
 
   /** Explicit ℓ-th adjacency power as a (src, dst, cnt) path-count table.

@@ -28,7 +28,7 @@ object LinBP {
     * @param s          convergence parameter, ε = s/(ρ(W)·ρ(H̃))
     * @param rhoW       precomputed ρ(W); pass it when labeling the same
     *                   graph repeatedly (Holdout does), else it is
-    *                   computed by distributed power iteration
+    *                   computed by `GraphOps.spectralRadius` (Lanczos)
     * @param center     propagate residuals (default) or raw frequencies
     * @throws IllegalArgumentException if a seed class id is outside [0, k)
     */

@@ -146,10 +146,11 @@ class GraphOpsSpec extends SparkSpec {
     assert(math.abs(got - expected) / expected < 0.01, s"got $got expected $expected")
   }
 
+  /** ρ(W) within 1e-6 relative of a long dense power iteration. */
   private def assertRho(edges: Seq[(Int, Int)], nodes: Int): Unit = {
-    val expected = DenseRef.adjacency(nodes, edges).spectralRadius()
+    val expected = DenseRef.adjacency(nodes, edges).spectralRadius(iters = 5000)
     val got = GraphOps.spectralRadius(LocalGraphs.graph(spark, nodes, edges))
-    assert(math.abs(got - expected) <= 0.01 * expected, s"got $got expected $expected")
+    assert(math.abs(got - expected) <= 1e-6 * expected, s"got $got expected $expected")
   }
 
   test("spectral radius of an even cycle (bipartite, eigenvalues ±ρ)") {
@@ -164,6 +165,20 @@ class GraphOpsSpec extends SparkSpec {
     val clique = for (i <- 0 until 5; j <- i + 1 until 5) yield (i, j)
     val path = (5 until 11).map(i => (i, i + 1))
     assertRho(clique ++ path, 12)
+  }
+
+  test("spectral radius of two near-equal stars joined by a path (slow for power iteration)") {
+    // Hubs 0 and 53 with 50 and 48 leaves, joined by the path 0–51–52–53:
+    // 25 power-iteration products stop about 0.5% below ρ here.
+    val stars = (1 to 50).map(i => (0, i)) ++ (54 until 102).map(i => (53, i))
+    assertRho(stars ++ Seq((0, 51), (51, 52), (52, 53)), 102)
+  }
+
+  test("topEigenvalue of tridiag(−1, 2, −1) is 2 + 2·cos(π/(j+1))") {
+    for (j <- Seq(1, 2, 7, 30)) {
+      val got = GraphOps.topEigenvalue(Seq.fill(j)(2.0), Seq.fill(j - 1)(-1.0))
+      assert(math.abs(got - (2 + 2 * math.cos(math.Pi / (j + 1)))) < 1e-12, s"j=$j got $got")
+    }
   }
 
   test("spectral radius of a graph with no edges is 0") {

@@ -4,10 +4,10 @@ import org.apache.spark.JobCounter
 import repro.SparkSpec
 import repro.testutil.{DenseRef, LocalGraphs}
 
-/** Spark jobs per sketch hop and per LinBP iteration on a fixed small
-  * graph. At the graph sizes of the evaluation the fixed cost of a job
-  * dominates each step, so a step that starts more jobs is a regression
-  * even when every result stays correct.
+/** Spark jobs per sketch hop, per LinBP iteration and per ρ(W) product
+  * on a fixed small graph. At the graph sizes of the evaluation the
+  * fixed cost of a job dominates each step, so a step that starts more
+  * jobs is a regression even when every result stays correct.
   */
 class JobBudgetSpec extends SparkSpec {
 
@@ -34,5 +34,12 @@ class JobBudgetSpec extends SparkSpec {
     val rho = GraphOps.spectralRadius(g)
     val perIter = jobsPerStep(10)(it => LinBP.run(g, seeds, h, iterations = it, rhoW = Some(rho)))
     assert(perIter <= MaxJobsPerStep, s"$perIter jobs per iteration")
+  }
+
+  test(s"a ρ(W) product starts at most $MaxJobsPerStep Spark jobs") {
+    // The cap binds: five products still move the estimate past four.
+    assert(GraphOps.spectralRadius(g, iters = 4) < GraphOps.spectralRadius(g, iters = 5))
+    val perProduct = jobsPerStep(5)(cap => GraphOps.spectralRadius(g, iters = cap))
+    assert(perProduct <= MaxJobsPerStep, s"$perProduct jobs per product")
   }
 }

@@ -46,6 +46,13 @@ class GradientDescentSpec extends AnyFunSuite {
     assert(r.iters == 7 && !r.converged)
   }
 
+  test("a failed line search away from a stationary point is not converged") {
+    // |x| at its kink: the reported (sub)gradient is 1, yet no step decreases f.
+    def fg(x: Array[Double]) = (math.abs(x(0)), Array(if (x(0) >= 0) 1.0 else -1.0))
+    val r = GradientDescent.minimize(fg, Array(0.0))
+    assert(!r.converged && r.iters == 0 && r.gradNorm == 1.0)
+  }
+
   test("monotone: final value never exceeds the initial value") {
     for (seed <- 1 to 10) {
       val rnd = new scala.util.Random(seed)
